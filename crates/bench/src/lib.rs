@@ -1,31 +1,25 @@
-//! Shared harness for the paper-reproduction benchmark binaries.
-//!
-//! Each binary regenerates one table/figure of the paper:
-//!
-//! | binary      | artefact                              |
-//! |-------------|---------------------------------------|
-//! | `table1`    | Table 1 (analytic + simulated W1–W4)  |
-//! | `fig4_seq`  | Figure 4 + Table 2 (sequential PARSEC)|
-//! | `fig5_par`  | Figure 5 + Table 3 (parallel PARSEC)  |
-//! | `fig6_io`   | Figure 6 + Table 4 (fio)              |
-//! | `crossover` | §3.3 crossover analysis               |
-//! | `ablations` | design-choice ablations               |
-//! | `all`       | everything, in order                  |
+//! Shared harness for the `paratick` CLI, which regenerates every
+//! table and figure of the paper (`paratick help` lists the commands;
+//! `docs/CLI.md` documents them).
 //!
 //! Scale knobs come from the environment so CI can run quick passes:
 //! `PARATICK_SCALE` (workload scale factor, default 0.25) and
 //! `PARATICK_ITERS` (max iterations per configuration, default 3).
 //!
-//! Observability knobs (the engine reads these itself, so every binary
-//! gets them for free; the first engine in the process claims each
-//! output path):
+//! Every run goes through the run cache ([`run_or_exit`] and
+//! `Experiment::run` both call `paratick::cache::run_cached`), which
+//! applies the environment to it, so every command gets these knobs
+//! for free:
 //!
+//! * `PARATICK_FAULTS` / `PARATICK_NO_RCU` — folded into each run's
+//!   scenario before it is keyed or simulated.
 //! * `PARATICK_TRACE=<path>` — write a Chrome-trace/Perfetto JSON
-//!   timeline of the first run (open in <https://ui.perfetto.dev> or
-//!   `chrome://tracing`).
+//!   timeline of the first run submitted (open in
+//!   <https://ui.perfetto.dev> or `chrome://tracing`).
 //! * `PARATICK_TIMESERIES=<path>` — windowed counters over sim time
-//!   (exits/s, busy fraction, …) as CSV, or JSON for `.json` paths;
-//!   `PARATICK_TIMESERIES_WINDOW_US` sets the window (default 1000).
+//!   (exits/s, busy fraction, …) of the same run as CSV, or JSON for
+//!   `.json` paths; `PARATICK_TIMESERIES_WINDOW_US` sets the window
+//!   (default 1000).
 //! * `PARATICK_PROF=1` — per-event-kind wall-clock self-profiling,
 //!   surfaced in `RunMetrics::profile` and the `PARATICK_JSON` dumps.
 

@@ -2,23 +2,30 @@
 //! already known.
 //!
 //! Every simulation in this repository is a pure function of its
-//! [`Scenario`] (which embeds the seed, the tick modes and the fault
-//! plan) and the engine's code. The cache exploits that: a run's
-//! [`RunMetrics`] are stored on disk under a SHA-256 key of the
-//! scenario's canonical content hash ∥ the effective fault plan ∥
-//! the effective RCU toggle (`PARATICK_NO_RCU` changes engine
-//! behaviour without touching the scenario) ∥ [`ENGINE_VERSION`],
-//! and [`run_cached`] consults the store before simulating. A warm cache makes `paratick all` re-emit every artifact
-//! byte-identically without running a single simulation.
+//! [`Scenario`] (which embeds the seed, the tick modes, the fault plan
+//! and the RCU toggle) and the engine's code. The cache exploits that:
+//! a run's [`RunMetrics`] are stored on disk under
+//! `SHA-256(ENGINE_VERSION ∥ scenario canonical hash)`, and
+//! [`run_cached`] consults the store before simulating. A warm cache
+//! makes `paratick all` re-emit every artifact byte-identically without
+//! running a single simulation.
+//!
+//! [`run_cached_outcome`] is also the one place the environment meets
+//! a run: it folds `PARATICK_FAULTS` / `PARATICK_NO_RCU` into the
+//! scenario ([`EnvConfig::apply`]) *before* keying it, so the key
+//! hashes exactly what will run, and it attaches the
+//! `PARATICK_TRACE` / `PARATICK_TIMESERIES` sinks
+//! ([`obs::claim_env_sinks`]).
 //!
 //! ## What is never cached
 //!
 //! * **Faulted runs** — fault plans model environmental weather; see
-//!   [`FaultConfig::cache_safe`]. (They would be *correct* to cache —
-//!   the plans are deterministic — but a transient `PARATICK_FAULTS`
-//!   campaign polluting the long-lived store buys nothing.)
-//! * **Observed runs** — when `PARATICK_TRACE` / `PARATICK_TIMESERIES`
-//!   would attach a sink to the next engine, a cache hit would skip the
+//!   [`paratick_vmm::FaultConfig::cache_safe`]. (They would be
+//!   *correct* to cache — the plans are deterministic — but a transient
+//!   `PARATICK_FAULTS` campaign polluting the long-lived store buys
+//!   nothing.)
+//! * **Observed runs** — the run that claims the `PARATICK_TRACE` /
+//!   `PARATICK_TIMESERIES` sinks: a cache hit would skip the
 //!   simulation and the requested file would silently not appear.
 //! * **Profiled runs** (`PARATICK_PROF=1`) — the point of profiling is
 //!   *this* run's wall clock, not a replay of an old one.
@@ -38,7 +45,7 @@ use crate::engine::Engine;
 use crate::metrics::RunMetrics;
 use crate::obs;
 use paratick_sim::{FromJson, Json, StableHash, StableHasher, ToJson};
-use paratick_vmm::{FaultConfig, SimError};
+use paratick_vmm::{EventSink, SimError};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -47,6 +54,27 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// orderings, cost-model changes, workload-generation tweaks. Stale
 /// entries then simply never match again; no invalidation pass needed.
 pub const ENGINE_VERSION: &str = concat!("paratick-", env!("CARGO_PKG_VERSION"), "+sim1");
+
+/// The [`ENGINE_VERSION`] that [`GOLDEN_DIGESTS`] were pinned under.
+pub const GOLDEN_VERSION: &str = "paratick-0.1.0+sim1";
+
+/// SHA-256 of each golden scenario's `RunMetrics` JSON without the
+/// wall-clock `profile`, one `<name> <digest>` per line (the scenarios
+/// are built in `tests/golden.rs`). A digest that moves while
+/// [`ENGINE_VERSION`] stays put means the cache would serve stale
+/// metrics: bump the version, then re-pin these and [`GOLDEN_VERSION`]
+/// from the test's failure message.
+pub const GOLDEN_DIGESTS: &str = "\
+parsec/periodic 76355f0cf6d98e3b07a11ecc53a61f9b04fea826b74bd70dc5c0dbc712f7d65b
+parsec/dynticks 079e7d411ae8aa4c563de5577f257c814a45daaf2a18c44c22481c19d9c8626c
+parsec/paratick 5acdce52f2c88d7f1072a8581ff0ec77b7d7ddb0303ef7041faf1e24c09d42f4
+parsec/dynticks+rcu f0a77521e003d6c2ea4e91ee95a478940a30b8808a895e36c1a7f853c6c4ef3d
+fio/dynticks 35f4a480cfad9c4f28f45affe3335d6116e882282ba6e9ff0e15681bddafdb51
+fio/paratick 836953e7ae31150361ef7fd1cc15008681ddf6d5dd32d76c0d2805568d7a6cef
+idle/periodic 41f3c034fe0ad8328693191e06ae2670fb878b51687d491aa2d139809f4fa4a0
+idle/paratick c81f7cbba318ce9cbd23d56be9868fccf66a0b56034c2321232bf6890b5964da
+parsec/paratick+faults 3399e7678fa3abc0d0ed49a4fedc80566a229b24a0ab9ca80bd7b303f534ce5e
+";
 
 // Process-wide outcome counters, reported by the CLI summary. The
 // acceptance check "warm `paratick all` skips every simulation" is
@@ -162,18 +190,6 @@ impl RunCache {
         RunCache { dir: dir.into() }
     }
 
-    /// The environment-selected cache, or `None` when caching is off.
-    pub fn from_env() -> Option<RunCache> {
-        let env = EnvConfig::get().ok()?;
-        env.cache.then(|| {
-            RunCache::new(
-                env.cache_dir
-                    .clone()
-                    .unwrap_or_else(Self::default_dir),
-            )
-        })
-    }
-
     /// `$TMPDIR/paratick-cache` — shared by every invocation on the
     /// machine, safely: keys are content hashes.
     pub fn default_dir() -> PathBuf {
@@ -184,34 +200,17 @@ impl RunCache {
         &self.dir
     }
 
-    /// The cache key for a scenario under the current engine version
-    /// and environment (the `PARATICK_NO_RCU` toggle is part of the
-    /// key — it alters engine behaviour without touching the scenario).
+    /// The cache key for a scenario under the current engine version.
     pub fn key(scenario: &Scenario) -> String {
-        Self::key_versioned(
-            ENGINE_VERSION,
-            scenario,
-            &scenario.host.faults,
-            effective_no_rcu(),
-        )
+        Self::key_versioned(ENGINE_VERSION, scenario)
     }
 
-    /// Key with explicit engine version, effective fault plan and RCU
-    /// toggle. `PARATICK_FAULTS` overrides the scenario's plan and
-    /// `PARATICK_NO_RCU` gates background RCU event generation at
-    /// engine-build time, so the key must hash what will actually run;
-    /// the explicit parameters let tests prove each one invalidates.
-    pub fn key_versioned(
-        version: &str,
-        scenario: &Scenario,
-        effective_faults: &FaultConfig,
-        no_rcu: bool,
-    ) -> String {
+    /// `SHA-256(version ∥ scenario canonical hash)`. The explicit
+    /// version lets tests prove a version bump invalidates.
+    pub fn key_versioned(version: &str, scenario: &Scenario) -> String {
         let mut h = StableHasher::new();
         h.write_str(version);
-        h.write_bool(no_rcu);
         scenario.stable_hash(&mut h);
-        effective_faults.stable_hash(&mut h);
         h.finish_hex()
     }
 
@@ -261,16 +260,15 @@ impl RunCache {
         true
     }
 
-    /// Run a scenario through this cache. The explicit-cache form backs
-    /// the module-level [`run_cached`] and lets tests point at a
-    /// temporary directory.
+    /// Run a scenario, as given, through this cache. The explicit-cache
+    /// form backs the module-level [`run_cached`] (which applies the
+    /// environment first) and lets tests point at a temporary
+    /// directory.
     pub fn run(&self, scenario: Scenario) -> Result<(RunMetrics, CacheOutcome), SimError> {
-        let effective = effective_faults(&scenario);
-        if !cacheable(&effective) {
-            BYPASSES.fetch_add(1, Ordering::SeqCst);
-            return Engine::run(scenario).map(|m| (m, CacheOutcome::Bypass));
+        if !scenario.host.faults.cache_safe() || obs::prof_wall_enabled() {
+            return bypass(scenario, Vec::new());
         }
-        let key = Self::key_versioned(ENGINE_VERSION, &scenario, &effective, effective_no_rcu());
+        let key = Self::key(&scenario);
         if let Some(m) = self.lookup(&key) {
             HITS.fetch_add(1, Ordering::SeqCst);
             return Ok((m, CacheOutcome::Hit));
@@ -284,33 +282,19 @@ impl RunCache {
     }
 }
 
-/// The fault plan the engine will actually use (the `PARATICK_FAULTS`
-/// override wins over the scenario's own plan).
-fn effective_faults(scenario: &Scenario) -> FaultConfig {
-    match EnvConfig::get() {
-        Ok(env) => env
-            .faults
-            .clone()
-            .unwrap_or_else(|| scenario.host.faults.clone()),
-        // A malformed environment errors out inside `Engine::new`; any
-        // placeholder works because the bypass path runs the engine.
-        Err(_) => FaultConfig::campaign(),
+/// Simulate without consulting the store, feeding `sinks`.
+fn bypass(
+    scenario: Scenario,
+    sinks: Vec<Box<dyn EventSink>>,
+) -> Result<(RunMetrics, CacheOutcome), SimError> {
+    BYPASSES.fetch_add(1, Ordering::SeqCst);
+    let mut engine = Engine::new(scenario)?;
+    for sink in sinks {
+        engine.attach_sink(sink);
     }
-}
-
-/// Whether background RCU generation is disabled for the runs this
-/// process will actually execute (`PARATICK_NO_RCU`). Hashed into
-/// every cache key so an rcu-off run never answers for an rcu-on one.
-fn effective_no_rcu() -> bool {
-    EnvConfig::get().map(|e| e.no_rcu).unwrap_or(false)
-}
-
-/// May this run's result be served from / written to the cache?
-fn cacheable(effective_faults: &FaultConfig) -> bool {
-    let Ok(env) = EnvConfig::get() else {
-        return false;
-    };
-    env.cache && effective_faults.cache_safe() && !env.prof && !obs::any_sink_requested()
+    engine
+        .run_to_completion()
+        .map(|m| (m, CacheOutcome::Bypass))
 }
 
 /// Run a scenario through the environment-selected cache: serve a hit
@@ -324,20 +308,27 @@ pub fn run_cached(scenario: Scenario) -> Result<RunMetrics, SimError> {
 /// Like [`run_cached`], but reports how the call was satisfied; the
 /// experiment runner and sweep scheduler attribute cache traffic per
 /// cell with it.
+///
+/// In order: resolve the environment (a malformed one is a
+/// [`SimError::Config`]), fold it into the scenario
+/// ([`EnvConfig::apply`]), and claim the env sinks — the run that gets
+/// them bypasses the store so its files appear.
 pub fn run_cached_outcome(scenario: Scenario) -> Result<(RunMetrics, CacheOutcome), SimError> {
-    match RunCache::from_env() {
-        Some(cache) => cache.run(scenario),
-        None => {
-            BYPASSES.fetch_add(1, Ordering::SeqCst);
-            Engine::run(scenario).map(|m| (m, CacheOutcome::Bypass))
-        }
+    let env = EnvConfig::get().map_err(|e| SimError::Config(e.to_string()))?;
+    let scenario = env.apply(scenario);
+    let sinks = obs::claim_env_sinks(env, scenario.host.num_pcpus() as usize);
+    if !env.cache || !sinks.is_empty() {
+        return bypass(scenario, sinks);
     }
+    let dir = env.cache_dir.clone().unwrap_or_else(RunCache::default_dir);
+    RunCache::new(dir).run(scenario)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::{HostConfig, VmConfig};
+    use paratick_vmm::FaultConfig;
     use paratick_workloads::VmWorkload;
 
     fn scenario(seed: u64) -> Scenario {
@@ -357,13 +348,16 @@ mod tests {
         assert_ne!(base, RunCache::key(&scenario(2)), "seed discriminates");
         assert_ne!(
             base,
-            RunCache::key_versioned("other-version", &scenario(1), &FaultConfig::off(), false),
+            RunCache::key_versioned("other-version", &scenario(1)),
             "engine version discriminates"
         );
+        let mut no_rcu = scenario(1);
+        no_rcu.host.rcu_background = false;
+        assert_ne!(base, RunCache::key(&no_rcu), "RCU toggle discriminates");
         assert_ne!(
-            RunCache::key_versioned(ENGINE_VERSION, &scenario(1), &FaultConfig::off(), false),
-            RunCache::key_versioned(ENGINE_VERSION, &scenario(1), &FaultConfig::off(), true),
-            "PARATICK_NO_RCU discriminates"
+            base,
+            RunCache::key(&scenario(1).faults(FaultConfig::campaign())),
+            "fault plan discriminates"
         );
     }
 

@@ -43,9 +43,13 @@ pub struct HostConfig {
     /// The virtualization cost model (includes the pCPU frequency).
     pub cost: CostModel,
     /// Deterministic fault-injection plan (default: no faults). The
-    /// `PARATICK_FAULTS` environment variable overrides this at
-    /// `Engine::new` time.
+    /// runner folds a `PARATICK_FAULTS` campaign in here before the
+    /// scenario is keyed or simulated ([`EnvConfig::apply`]).
     pub faults: FaultConfig,
+    /// Background RCU-callback generation in every guest (default on;
+    /// calibration probes turn it off via `PARATICK_NO_RCU`, which the
+    /// runner folds in here through [`EnvConfig::apply`]).
+    pub rcu_background: bool,
 }
 
 impl Default for HostConfig {
@@ -62,6 +66,7 @@ impl Default for HostConfig {
             apicv: false,
             cost: CostModel::default(),
             faults: FaultConfig::off(),
+            rcu_background: true,
         }
     }
 }
@@ -247,6 +252,7 @@ impl StableHash for HostConfig {
         h.write_bool(self.apicv);
         self.cost.stable_hash(h);
         self.faults.stable_hash(h);
+        h.write_bool(self.rcu_background);
     }
 }
 
@@ -309,12 +315,9 @@ impl std::error::Error for EnvError {}
 
 /// All `PARATICK_*` knobs, parsed once per process.
 ///
-/// Before this type existed every consumer parsed its own variables ad
-/// hoc (`engine.rs` read `PARATICK_FAULTS`, `obs.rs` read the sink
-/// paths, the bench crate read the scale knobs, `inspect` read the
-/// calibration overrides). [`EnvConfig::get`] is now the single parse
-/// point: malformed values produce one typed [`EnvError`] instead of a
-/// scatter of silently-ignored `parse().ok()`s, and unrecognized
+/// [`EnvConfig::get`] is the single parse point: malformed values
+/// produce one typed [`EnvError`] instead of a scatter of
+/// silently-ignored `parse().ok()`s, and unrecognized
 /// `PARATICK_*` variables earn a one-time stderr warning (catching the
 /// classic `PARATICK_SCLAE=1` typo that silently runs the default).
 #[derive(Clone, Debug, PartialEq)]
@@ -333,10 +336,11 @@ pub struct EnvConfig {
     pub timeseries_window_us: u64,
     /// `PARATICK_PROF`: per-event-kind wall-clock self-profiling.
     pub prof: bool,
-    /// `PARATICK_FAULTS`: fault campaign overriding `HostConfig::faults`.
+    /// `PARATICK_FAULTS`: fault campaign overriding `HostConfig::faults`
+    /// (see [`Self::apply`]).
     pub faults: Option<FaultConfig>,
     /// `PARATICK_NO_RCU`: disable background RCU-callback generation
-    /// (calibration probes).
+    /// (calibration probes; clears `HostConfig::rcu_background`).
     pub no_rcu: bool,
     /// `PARATICK_CACHE`: run cache on/off (default on; `0`/`off`/`false`
     /// disables).
@@ -511,6 +515,20 @@ impl EnvConfig {
             .as_ref()
     }
 
+    /// Fold the knobs that change simulated results into the scenario:
+    /// `PARATICK_FAULTS` replaces `host.faults` and `PARATICK_NO_RCU`
+    /// clears `host.rcu_background`. The run cache calls this once per
+    /// run, before keying, so the key hashes exactly what will run.
+    pub fn apply(&self, mut scenario: Scenario) -> Scenario {
+        if let Some(faults) = &self.faults {
+            scenario.host.faults = faults.clone();
+        }
+        if self.no_rcu {
+            scenario.host.rcu_background = false;
+        }
+        scenario
+    }
+
     /// [`Self::get`], mapping a malformed variable to the configuration
     /// exit code (2) — what a CLI entry point wants.
     pub fn get_or_exit() -> &'static EnvConfig {
@@ -659,6 +677,33 @@ mod tests {
             digest(&mk().faults(FaultConfig::from_spec("campaign").unwrap())),
             "fault plan changes hash"
         );
+        let mut no_rcu = mk();
+        no_rcu.host.rcu_background = false;
+        assert_ne!(digest(&mk()), digest(&no_rcu), "RCU toggle changes hash");
+    }
+
+    #[test]
+    fn env_apply_folds_result_knobs_into_the_scenario() {
+        let mk = || Scenario::new(HostConfig::small(1)).faults(FaultConfig::campaign());
+        let quiet = EnvConfig::default().apply(mk());
+        assert!(
+            quiet.host.rcu_background,
+            "empty environment changes nothing"
+        );
+        assert_eq!(digest(&quiet), digest(&mk()));
+
+        let env = EnvConfig::from_lookup(|var| match var {
+            "PARATICK_FAULTS" => Some("off".into()),
+            "PARATICK_NO_RCU" => Some("1".into()),
+            _ => None,
+        })
+        .unwrap();
+        let s = env.apply(mk());
+        assert!(
+            !s.host.faults.any_enabled(),
+            "PARATICK_FAULTS replaces the plan"
+        );
+        assert!(!s.host.rcu_background, "PARATICK_NO_RCU clears the toggle");
     }
 
     #[test]

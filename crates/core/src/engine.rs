@@ -21,11 +21,15 @@
 //!   tick strategies diverge and where their `TSC_DEADLINE` writes turn
 //!   into VM exits.
 //!
-//! The engine is deterministic: same scenario + same seed ⇒ identical
-//! metrics, bit for bit. That extends to fault injection: the fault
-//! plan draws from its own rng stream (forked from the seed with a
-//! fixed salt), so a fault campaign replays exactly and enabling it
-//! does not perturb the fault-free stream.
+//! The engine is a pure function of its [`Scenario`]: it reads no
+//! environment (the runner folds `PARATICK_*` knobs into the scenario
+//! first; only `PARATICK_PROF` reaches the engine, and it changes
+//! nothing but the wall-clock fields of `RunMetrics::profile`). Same
+//! scenario + same seed ⇒ identical metrics, bit for bit. That extends
+//! to fault injection: the fault plan draws from its own rng stream
+//! (forked from the seed with a fixed salt), so a fault campaign
+//! replays exactly and enabling it does not perturb the fault-free
+//! stream.
 //!
 //! Failures surface as values, not panics: `Engine::run` returns
 //! `Result<RunMetrics, SimError>`, and an always-on [`crate::audit::
@@ -200,8 +204,7 @@ pub struct Engine {
     cost: CostModel,
     paratick_host: ParatickHost,
     rate_adapt_enabled: bool,
-    /// Background RCU-callback generation (off for calibration probes
-    /// via PARATICK_NO_RCU=1).
+    /// Background RCU-callback generation (`HostConfig::rcu_background`).
     rcu_background: bool,
     ple: Ple,
     halt_poll_enabled: bool,
@@ -270,19 +273,11 @@ impl Engine {
             .map(|i| PCpu::new(PcpuId(i as u32), host.socket_of(i as u32), cost.cpu_freq))
             .collect();
         let rng = SimRng::new(scenario.seed);
-        // `PARATICK_FAULTS` overrides the scenario's fault config (the
-        // CI smoke run and ad-hoc campaigns use it).
-        let env = crate::config::EnvConfig::get()
-            .map_err(|e| SimError::Config(e.to_string()))?;
-        let fault_cfg = match &env.faults {
-            Some(f) => f.clone(),
-            None => host.faults.clone(),
-        };
-        let retry = fault_cfg.retry_policy();
+        let retry = host.faults.retry_policy();
         // Fork the fault stream from a *fresh* copy of the seed so the
         // engine's own rng stream is identical with faults on or off.
         let fault_rng = SimRng::new(scenario.seed).fork(FaultPlan::RNG_SALT);
-        let fault_plan = FaultPlan::new(fault_cfg, fault_rng);
+        let fault_plan = FaultPlan::new(host.faults.clone(), fault_rng);
 
         let mut vms = Vec::new();
         for (vm_idx, (cfg, workload)) in vm_descs.into_iter().enumerate() {
@@ -362,7 +357,7 @@ impl Engine {
             queue: EventQueue::with_capacity(1024),
             paratick_host: ParatickHost::new(host.paratick_host),
             rate_adapt_enabled: host.paratick_rate_adapt,
-            rcu_background: !env.no_rcu,
+            rcu_background: host.rcu_background,
             ple: if host.ple {
                 Ple::kvm_default()
             } else {
@@ -389,7 +384,7 @@ impl Engine {
             error: None,
             last_progress: SimTime::ZERO,
             cost,
-            sinks: obs::sinks_from_env(n_pcpus),
+            sinks: Vec::new(),
             prof_wall: obs::prof_wall_enabled(),
             prof_counts: [0; Ev::KIND_COUNT],
             prof_wall_ns: [0; Ev::KIND_COUNT],
@@ -1116,7 +1111,7 @@ impl Engine {
                     run_queue: self.sched.waiting(p) as u32,
                 };
                 self.emit(t, ev);
-                let r = self.vms[vm].vcpus[vcpu].set_running(t);
+                let r = self.vms[vm].vcpus[vcpu].set_running();
                 if !self.check(r) {
                     return;
                 }
@@ -2116,7 +2111,7 @@ impl Engine {
                     && now.since(self.slice_start[i]) >= self.sched.slice()
                 {
                     // Host CFS slice expiry: rotate.
-                    let r = self.vms[vm].vcpus[vcpu].set_preempted(now);
+                    let r = self.vms[vm].vcpus[vcpu].set_preempted();
                     if !self.check(r) {
                         return;
                     }

@@ -325,10 +325,10 @@ mod tests {
         let freq = Freq::ghz(2);
         let mut a = KvmVcpu::new(VcpuId::new(0, 0), PcpuId(0), freq, SimTime::ZERO);
         let mut b = KvmVcpu::new(VcpuId::new(0, 1), PcpuId(1), freq, SimTime::ZERO);
-        a.set_running(SimTime::ZERO).unwrap();
+        a.set_running().unwrap();
         a.record_exit(paratick_vmm::ExitReason::Hlt);
         a.record_injection(true);
-        b.set_running(SimTime::ZERO).unwrap();
+        b.set_running().unwrap();
         b.set_halted(SimTime::from_millis(1)).unwrap();
         b.wake(SimTime::from_millis(5)).unwrap();
         let m = VmMetrics::collect(

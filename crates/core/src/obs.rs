@@ -13,8 +13,8 @@
 //! * [`TimeSeriesSink`] — windows counters over sim time (exits/s,
 //!   timer exits/s, busy/idle fraction, …) and writes CSV or JSON.
 //!
-//! Environment knobs (read once per process, first engine wins, matching
-//! the `PARATICK_JSON`/`PARATICK_SCALE` convention of the bench crate):
+//! Environment knobs (claimed by the first run the run cache
+//! simulates, see [`claim_env_sinks`]):
 //!
 //! * `PARATICK_TRACE=<path>` — attach a [`PerfettoSink`] writing there.
 //! * `PARATICK_TIMESERIES=<path>` — attach a [`TimeSeriesSink`]
@@ -22,6 +22,7 @@
 //!   `PARATICK_TIMESERIES_WINDOW_US` overrides the 1000 µs window.
 //! * `PARATICK_PROF=1` — per-event-kind wall-clock self-profiling.
 
+use crate::config::EnvConfig;
 use paratick_sim::{SimTime, TraceBuffer};
 use paratick_vmm::{EventSink, PcpuId, SimEvent, VcpuId};
 use std::cell::RefCell;
@@ -566,59 +567,41 @@ impl EventSink for TimeSeriesSink {
 // Environment wiring
 // ---------------------------------------------------------------------
 
-// A run may construct many engines (experiments iterate, benches fan out
-// across rayon workers); only the first engine in the process claims each
-// output path, so parallel runs don't clobber one file.
-static TRACE_CLAIMED: AtomicBool = AtomicBool::new(false);
-static TIMESERIES_CLAIMED: AtomicBool = AtomicBool::new(false);
+// A process may run many simulations (experiments iterate, sweeps fan
+// out across workers); only the first run that asks claims the output
+// paths, so parallel runs don't clobber one file.
+static ENV_SINK_CLAIM: AtomicBool = AtomicBool::new(false);
 
-/// Sinks requested via `PARATICK_TRACE` / `PARATICK_TIMESERIES` (both
-/// read through the typed [`crate::config::EnvConfig`] loader).
-pub fn sinks_from_env(n_pcpus: usize) -> Vec<Box<dyn EventSink>> {
-    let Ok(env) = crate::config::EnvConfig::get() else {
-        // A malformed environment is reported by `Engine::new`; the
-        // sink attachment just declines.
-        return Vec::new();
-    };
+/// The sinks `PARATICK_TRACE` / `PARATICK_TIMESERIES` request, for the
+/// first caller in the process only; every later call (and any call
+/// when neither is set) returns none. The run cache attaches them to
+/// the run it is about to simulate.
+pub fn claim_env_sinks(env: &EnvConfig, n_pcpus: usize) -> Vec<Box<dyn EventSink>> {
     let mut sinks: Vec<Box<dyn EventSink>> = Vec::new();
+    if (env.trace.is_none() && env.timeseries.is_none())
+        || ENV_SINK_CLAIM.swap(true, Ordering::SeqCst)
+    {
+        return sinks;
+    }
     if let Some(path) = &env.trace {
-        if !TRACE_CLAIMED.swap(true, Ordering::SeqCst) {
-            match PerfettoSink::create(path.clone()) {
-                Ok(s) => sinks.push(Box::new(s)),
-                Err(e) => eprintln!("PARATICK_TRACE: cannot create {}: {e}", path.display()),
-            }
+        match PerfettoSink::create(path.clone()) {
+            Ok(s) => sinks.push(Box::new(s)),
+            Err(e) => eprintln!("PARATICK_TRACE: cannot create {}: {e}", path.display()),
         }
     }
     if let Some(path) = &env.timeseries {
-        if !TIMESERIES_CLAIMED.swap(true, Ordering::SeqCst) {
-            sinks.push(Box::new(TimeSeriesSink::new(
-                path.clone(),
-                env.timeseries_window_us,
-                n_pcpus,
-            )));
-        }
+        sinks.push(Box::new(TimeSeriesSink::new(
+            path.clone(),
+            env.timeseries_window_us,
+            n_pcpus,
+        )));
     }
     sinks
 }
 
 /// `PARATICK_PROF=1`: time each event kind with the wall clock.
 pub fn prof_wall_enabled() -> bool {
-    crate::config::EnvConfig::get().map(|e| e.prof).unwrap_or(false)
-}
-
-/// Would any observability sink attach to the next engine in this
-/// process? Runs whose events feed a sink must bypass the run cache — a
-/// cache hit skips the simulation, so no events would ever reach the
-/// sink and the requested trace/time-series file would silently not
-/// appear.
-pub fn any_sink_requested() -> bool {
-    match crate::config::EnvConfig::get() {
-        Ok(env) => {
-            (env.trace.is_some() && !TRACE_CLAIMED.load(Ordering::SeqCst))
-                || (env.timeseries.is_some() && !TIMESERIES_CLAIMED.load(Ordering::SeqCst))
-        }
-        Err(_) => false,
-    }
+    EnvConfig::get().map(|e| e.prof).unwrap_or(false)
 }
 
 #[cfg(test)]

@@ -14,10 +14,6 @@
 //! * [`oneshot`] — the LAPIC initial-count oneshot timer: the coarser
 //!   fallback backend the guest demotes to when fault injection makes
 //!   the TSC-deadline path unreliable.
-//! * [`preemption_timer`] — the VMX preemption timer KVM uses to deliver
-//!   guest timer deadlines without a LAPIC-timer exit (§3, \[1\]).
-//! * [`hrtimer`] — host high-resolution timer slots, the mechanism KVM
-//!   uses to fire guest deadlines for descheduled/halted vCPUs.
 //! * [`iodev`] — block-device latency models (HDD / SATA SSD / NVMe) with
 //!   submission queues and completion interrupts, plus a simple NIC model.
 //!
@@ -27,17 +23,13 @@
 //! corresponding events.
 
 pub mod deadline;
-pub mod hrtimer;
 pub mod iodev;
 pub mod lapic;
 pub mod oneshot;
-pub mod preemption_timer;
 pub mod tsc;
 
 pub use deadline::{DeadlineWriteEffect, TscDeadline};
-pub use hrtimer::{HrTimer, HrTimerState};
 pub use iodev::{BlockDevice, DeviceKind, IoOp, IoRequest};
 pub use lapic::{Lapic, Vector};
 pub use oneshot::LapicOneshot;
-pub use preemption_timer::PreemptionTimer;
 pub use tsc::Tsc;

@@ -1,8 +1,8 @@
 //! Public-API edge cases for the hardware models.
 
 use paratick_hw::{
-    BlockDevice, DeadlineWriteEffect, DeviceKind, HrTimer, IoOp, IoRequest, Lapic,
-    PreemptionTimer, Tsc, TscDeadline, Vector,
+    BlockDevice, DeadlineWriteEffect, DeviceKind, IoOp, IoRequest, Lapic, Tsc, TscDeadline,
+    Vector,
 };
 use paratick_sim::{Freq, SimDuration, SimRng, SimTime};
 
@@ -59,40 +59,6 @@ fn lapic_full_vector_space() {
         last = v as u16;
     }
     assert_eq!(apic.acked, 224);
-}
-
-#[test]
-fn preemption_timer_freeze_thaw_cycles() {
-    let mut pt = PreemptionTimer::new(Freq::ghz(2), 5);
-    let mut now = SimTime::from_millis(1);
-    pt.arm_on_entry(now, SimDuration::from_millis(8));
-    // Deschedule/reschedule three times; the deadline only burns down
-    // while "in guest mode".
-    for _ in 0..3 {
-        now += SimDuration::from_millis(1);
-        pt.save_on_exit(now);
-        now += SimDuration::from_millis(10); // long off-cpu gap
-        pt.resume_on_entry(now);
-    }
-    let e = pt.expiry().expect("still armed");
-    // 3 ms of guest time consumed, 5 ms remain (within granularity).
-    assert!(e >= now + SimDuration::from_millis(5));
-    assert!(e <= now + SimDuration::from_millis(5) + SimDuration::from_micros(2));
-}
-
-#[test]
-fn hrtimer_generation_torture() {
-    let mut h = HrTimer::new();
-    let mut gens = Vec::new();
-    for i in 1..=10u64 {
-        gens.push(h.arm(SimTime::from_millis(i)));
-    }
-    // Only the last generation fires.
-    for (i, g) in gens.iter().enumerate() {
-        let fired = h.try_fire(SimTime::from_millis(i as u64 + 1), *g);
-        assert_eq!(fired, i == 9, "generation {i}");
-    }
-    assert_eq!(h.fire_count, 1);
 }
 
 #[test]

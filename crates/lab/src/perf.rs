@@ -14,7 +14,9 @@
 //! means the engines simulate different things — flagged, not failed).
 //!
 //! Runs deliberately bypass the run cache ([`Engine::run`] directly):
-//! the point is *this* engine's wall clock, never a replay.
+//! the point is *this* engine's wall clock, never a replay. Since the
+//! cache is also where `PARATICK_FAULTS` / `PARATICK_NO_RCU` are
+//! applied, the basket always simulates exactly its own scenarios.
 
 use paratick::prelude::*;
 use paratick_sim::stats::Samples;

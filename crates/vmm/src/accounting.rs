@@ -160,10 +160,10 @@ mod tests {
         let freq = Freq::ghz(2);
         let mut v0 = KvmVcpu::new(VcpuId::new(0, 0), PcpuId(0), freq, SimTime::ZERO);
         let mut v1 = KvmVcpu::new(VcpuId::new(0, 1), PcpuId(1), freq, SimTime::ZERO);
-        v0.set_running(SimTime::ZERO).unwrap();
+        v0.set_running().unwrap();
         v0.record_exit(ExitReason::Hlt);
         v0.record_injection(true);
-        v1.set_running(SimTime::ZERO).unwrap();
+        v1.set_running().unwrap();
         v1.record_exit(ExitReason::MsrWriteTscDeadline);
         v1.set_halted(SimTime::from_millis(1)).unwrap();
         v1.wake(SimTime::from_millis(3)).unwrap();

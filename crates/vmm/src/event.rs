@@ -7,9 +7,8 @@
 //! [`EventSink`]s consume them — the legacy string trace, the Perfetto
 //! timeline exporter, time-series samplers, test collectors.
 //!
-//! Emission is zero-cost when no sink is attached: the engine guards
-//! every construction site with a single `sinks.is_empty()` branch, the
-//! same discipline `TraceBuffer::record_with` used before.
+//! Emission is never free: the engine's always-on invariant auditor
+//! consumes every event, whether or not a sink is attached.
 //!
 //! Events carry only `Copy` data (ids, reasons, nanosecond counts), so a
 //! sink can buffer them without lifetimes and two identically-seeded

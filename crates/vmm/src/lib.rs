@@ -8,9 +8,8 @@
 //!   mode per exit reason plus indirect cycles (TLB/µarch pollution paid
 //!   by the guest after re-entry), injection and wakeup costs.
 //! * [`vcpu`] — per-vCPU state: the run-state machine, the virtual LAPIC,
-//!   the trapped `TSC_DEADLINE` register, the VMX preemption timer, the
-//!   host hrtimer used while descheduled, and the paratick `last_tick`
-//!   field (paper §5.1).
+//!   the trapped `TSC_DEADLINE` register, the LAPIC oneshot fallback
+//!   timer, and the paratick `last_tick` field (paper §5.1).
 //! * [`pcpu`] — per-physical-CPU cycle accounting with exact (nanosecond)
 //!   conservation.
 //! * [`host_sched`] — time-sliced fair sharing of pCPUs among vCPUs, with

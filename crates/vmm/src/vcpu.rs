@@ -24,7 +24,7 @@ use crate::error::SimError;
 use crate::exit::{ExitCounts, ExitReason};
 use crate::fault::TimerBackend;
 use crate::host_sched::PcpuId;
-use paratick_hw::{HrTimer, Lapic, LapicOneshot, PreemptionTimer, Tsc, TscDeadline};
+use paratick_hw::{Lapic, LapicOneshot, Tsc, TscDeadline};
 use paratick_sim::{Freq, SimDuration, SimTime};
 use std::fmt;
 
@@ -114,10 +114,6 @@ pub struct KvmVcpu {
     /// Deadline-timer faults observed (lost expirations); drives the
     /// TSC-deadline → LAPIC-oneshot demotion decision.
     pub timer_fault_score: u32,
-    /// VMX preemption timer mirroring the armed deadline in guest mode.
-    pub preemption_timer: PreemptionTimer,
-    /// Host hrtimer carrying the deadline while not in guest mode.
-    pub hrtimer: HrTimer,
     /// Paratick: time of the last (virtual) tick injection (§5.1).
     pub last_tick: SimTime,
     /// Paratick: tick period declared by the guest via hypercall (§4.1);
@@ -140,8 +136,6 @@ impl KvmVcpu {
             oneshot: LapicOneshot::default(),
             timer_backend: TimerBackend::TscDeadline,
             timer_fault_score: 0,
-            preemption_timer: PreemptionTimer::new(tsc_freq, 5),
-            hrtimer: HrTimer::new(),
             last_tick: guest_boot,
             declared_tick_period: None,
             halted_since: None,
@@ -170,12 +164,11 @@ impl KvmVcpu {
     }
 
     /// Host scheduler dispatched this vCPU onto a pCPU.
-    pub fn set_running(&mut self, now: SimTime) -> Result<(), SimError> {
+    pub fn set_running(&mut self) -> Result<(), SimError> {
         match self.state {
             VcpuRunState::Runnable => {
                 self.state = VcpuRunState::Running;
                 self.stats.entries += 1;
-                self.preemption_timer.resume_on_entry(now);
                 Ok(())
             }
             _ => Err(self.illegal("Running")),
@@ -184,11 +177,10 @@ impl KvmVcpu {
 
     /// The vCPU was descheduled (slice end / preemption) but remains
     /// runnable.
-    pub fn set_preempted(&mut self, now: SimTime) -> Result<(), SimError> {
+    pub fn set_preempted(&mut self) -> Result<(), SimError> {
         match self.state {
             VcpuRunState::Running => {
                 self.state = VcpuRunState::Runnable;
-                self.preemption_timer.save_on_exit(now);
                 Ok(())
             }
             _ => Err(self.illegal("Runnable")),
@@ -202,7 +194,6 @@ impl KvmVcpu {
                 self.state = VcpuRunState::Halted;
                 self.halted_since = Some(now);
                 self.stats.idle_periods += 1;
-                self.preemption_timer.save_on_exit(now);
                 Ok(())
             }
             _ => Err(self.illegal("Halted")),
@@ -296,7 +287,7 @@ mod tests {
     fn lifecycle_runnable_running_halted_wake() {
         let mut v = vcpu();
         assert_eq!(v.state(), VcpuRunState::Runnable);
-        v.set_running(t(2)).unwrap();
+        v.set_running().unwrap();
         assert!(v.is_running());
         v.set_halted(t(5)).unwrap();
         assert!(v.is_halted());
@@ -310,10 +301,10 @@ mod tests {
     #[test]
     fn preemption_keeps_runnable() {
         let mut v = vcpu();
-        v.set_running(t(2)).unwrap();
-        v.set_preempted(t(3)).unwrap();
+        v.set_running().unwrap();
+        v.set_preempted().unwrap();
         assert_eq!(v.state(), VcpuRunState::Runnable);
-        v.set_running(t(4)).unwrap();
+        v.set_running().unwrap();
         assert!(v.is_running());
         assert_eq!(v.stats.entries, 2);
     }
@@ -321,8 +312,8 @@ mod tests {
     #[test]
     fn double_running_is_error() {
         let mut v = vcpu();
-        v.set_running(t(2)).unwrap();
-        let err = v.set_running(t(3)).unwrap_err();
+        v.set_running().unwrap();
+        let err = v.set_running().unwrap_err();
         assert!(matches!(
             err,
             SimError::IllegalTransition {
@@ -339,7 +330,7 @@ mod tests {
     #[test]
     fn wake_when_running_is_error() {
         let mut v = vcpu();
-        v.set_running(t(2)).unwrap();
+        v.set_running().unwrap();
         let err = v.wake(t(3)).unwrap_err();
         assert!(err.to_string().contains("illegal transition"));
         assert_eq!(v.stats.wakeups, 0);
@@ -379,10 +370,10 @@ mod tests {
     fn mean_idle_period() {
         let mut v = vcpu();
         assert_eq!(v.stats.mean_idle_period(), None);
-        v.set_running(t(2)).unwrap();
+        v.set_running().unwrap();
         v.set_halted(t(3)).unwrap();
         v.wake(t(5)).unwrap(); // 2 ms idle
-        v.set_running(t(5)).unwrap();
+        v.set_running().unwrap();
         v.set_halted(t(6)).unwrap();
         v.wake(t(12)).unwrap(); // 6 ms idle
         assert_eq!(
@@ -394,7 +385,7 @@ mod tests {
     #[test]
     fn exit_recording() {
         let mut v = vcpu();
-        v.set_running(t(2)).unwrap();
+        v.set_running().unwrap();
         v.record_exit(ExitReason::Hlt);
         v.record_exit(ExitReason::MsrWriteTscDeadline);
         assert_eq!(v.stats.exits.total(), 2);
@@ -422,19 +413,5 @@ mod tests {
     fn guest_tsc_zero_at_boot() {
         let v = vcpu();
         assert_eq!(v.guest_tsc.read(t(1)), 0);
-    }
-
-    #[test]
-    fn preemption_timer_pauses_across_halt() {
-        let mut v = vcpu();
-        v.set_running(t(2)).unwrap();
-        v.preemption_timer
-            .arm_on_entry(t(2), SimDuration::from_millis(10));
-        v.set_halted(t(4)).unwrap(); // 8 ms remain, frozen
-        v.wake(t(50)).unwrap();
-        v.set_running(t(50)).unwrap();
-        let e = v.preemption_timer.expiry().unwrap();
-        assert!(e >= t(58));
-        assert!(e <= t(58) + SimDuration::from_micros(1));
     }
 }

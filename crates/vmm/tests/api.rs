@@ -103,12 +103,12 @@ fn vcpu_stats_idle_accounting_over_many_periods() {
     let mut v = KvmVcpu::new(VcpuId::new(0, 0), PcpuId(0), Freq::ghz(2), SimTime::ZERO);
     let mut t = SimTime::from_millis(1);
     for i in 1..=20u64 {
-        v.set_running(t);
+        v.set_running().unwrap();
         t += SimDuration::from_micros(100);
-        v.set_halted(t);
+        v.set_halted(t).unwrap();
         assert_eq!(v.halted_since(), Some(t));
         t += SimDuration::from_micros(i * 10);
-        v.wake(t);
+        v.wake(t).unwrap();
         assert_eq!(v.halted_since(), None);
     }
     assert_eq!(v.stats.idle_periods, 20);

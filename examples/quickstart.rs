@@ -4,7 +4,11 @@
 //! ```text
 //! cargo run --release --example quickstart
 //! ```
+//!
+//! Runs go through the run cache, so the `PARATICK_*` knobs apply
+//! (e.g. `PARATICK_FAULTS=campaign` for a fault campaign).
 
+use paratick::cache::run_cached;
 use paratick::prelude::*;
 use paratick_workloads::parsec;
 
@@ -22,9 +26,9 @@ fn main() {
     };
 
     println!("running dedup (sequential) under dynticks ...");
-    let vanilla = Engine::run(build(TickMode::DynticksIdle)).unwrap();
+    let vanilla = run_cached(build(TickMode::DynticksIdle)).unwrap();
     println!("running dedup (sequential) under paratick ...");
-    let para = Engine::run(build(TickMode::Paratick)).unwrap();
+    let para = run_cached(build(TickMode::Paratick)).unwrap();
 
     for (name, m) in [("dynticks", &vanilla), ("paratick", &para)] {
         println!();

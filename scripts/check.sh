@@ -45,8 +45,22 @@ if grep -nE '(proptest|rayon|serde|crossbeam|parking_lot|criterion)' Cargo.toml 
 fi
 echo "    ok (no external stub crates in sources or manifests)"
 
+# Purity gate: the engine is a function of its Scenario. The run cache
+# folds the environment into the scenario (EnvConfig::apply) before it
+# keys and simulates it; the engine must never read it itself, or the
+# cache key would miss an input.
+echo "==> engine purity grep gate"
+if grep -n 'EnvConfig' crates/core/src/engine.rs; then
+  echo "    engine.rs reads EnvConfig; fold the knob into Scenario via EnvConfig::apply instead"
+  exit 1
+fi
+echo "    ok (engine.rs does not mention EnvConfig)"
+
 run cargo build --release --workspace $CARGO_ARGS || exit 1
 run cargo test -q --workspace $CARGO_ARGS || exit 1
+# The benchmark's own suite: catches public-API drift that would break
+# perfbench/ and digest pins left stale after an ENGINE_VERSION bump.
+run cargo test --release -q --offline --manifest-path perfbench/Cargo.toml || exit 1
 
 # Property suites under a pinned seed and budget: propcheck must be
 # deterministic for a fixed PARATICK_PROP_SEED, and every ported

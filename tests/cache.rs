@@ -81,31 +81,24 @@ fn key_invalidates_on_version_and_scenario_changes() {
     );
     assert_ne!(
         base,
-        RunCache::key_versioned(
-            "paratick-9.9.9+simX",
-            &tiny_fio(TickMode::Paratick, 5),
-            &FaultConfig::off(),
-            false,
-        ),
+        RunCache::key_versioned("paratick-9.9.9+simX", &tiny_fio(TickMode::Paratick, 5)),
         "engine version is part of the key"
+    );
+    let mut no_rcu = tiny_fio(TickMode::Paratick, 5);
+    no_rcu.host.rcu_background = false;
+    assert_ne!(
+        base,
+        RunCache::key(&no_rcu),
+        "the RCU toggle is part of the key (it gates RCU event generation)"
     );
     assert_ne!(
         base,
-        RunCache::key_versioned(
-            ENGINE_VERSION,
-            &tiny_fio(TickMode::Paratick, 5),
-            &FaultConfig::off(),
-            true,
-        ),
-        "PARATICK_NO_RCU is part of the key (it gates RCU event generation)"
+        RunCache::key(&tiny_fio(TickMode::Paratick, 5).faults(FaultConfig::campaign())),
+        "the fault plan is part of the key"
     );
-    assert!(
-        RunCache::key_versioned(
-            ENGINE_VERSION,
-            &tiny_fio(TickMode::Paratick, 5),
-            &FaultConfig::off(),
-            false,
-        ) == base,
+    assert_eq!(
+        RunCache::key_versioned(ENGINE_VERSION, &tiny_fio(TickMode::Paratick, 5)),
+        base,
         "explicit current version matches the default key"
     );
 
@@ -114,12 +107,7 @@ fn key_invalidates_on_version_and_scenario_changes() {
     let dir = temp_dir("versions");
     let cache = RunCache::new(&dir);
     let m = Engine::run(tiny_fio(TickMode::Paratick, 5)).unwrap();
-    let old_key = RunCache::key_versioned(
-        "paratick-0.0.0+sim0",
-        &tiny_fio(TickMode::Paratick, 5),
-        &FaultConfig::off(),
-        false,
-    );
+    let old_key = RunCache::key_versioned("paratick-0.0.0+sim0", &tiny_fio(TickMode::Paratick, 5));
     cache.store(&old_key, &m);
     assert!(
         cache.lookup(&base).is_none(),
@@ -149,7 +137,7 @@ fn faulted_runs_bypass_cache() {
 
 /// Traced runs (`PARATICK_TRACE`) bypass the cache: the simulation must
 /// actually execute so the trace file appears. Uses a subprocess
-/// because sink claiming and the env snapshot are process-global.
+/// because the sink claim and the env snapshot are process-global.
 #[test]
 fn traced_runs_bypass_cache() {
     if std::env::var_os("PARATICK_OBS_CHILD").is_some() {

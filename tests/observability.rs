@@ -1,6 +1,7 @@
 //! Observability integration tests: determinism of the structured event
 //! stream, and structural validity of the Chrome-trace/Perfetto export.
 
+use paratick::cache::run_cached;
 use paratick::prelude::*;
 use paratick_suite::tiny_fio;
 use paratick_vmm::CollectSink;
@@ -340,9 +341,9 @@ fn perfetto_sink_writes_valid_chrome_trace() {
 #[test]
 fn paratick_trace_env_knob_writes_valid_chrome_trace() {
     if std::env::var_os("PARATICK_OBS_CHILD").is_some() {
-        // Child: the engine picks the sink up from PARATICK_TRACE on
+        // Child: the runner picks the sink up from PARATICK_TRACE on
         // its own — nothing is attached explicitly.
-        let m = Engine::run(tiny_fio(TickMode::Paratick, 15)).unwrap();
+        let m = run_cached(tiny_fio(TickMode::Paratick, 15)).unwrap();
         assert!(m.per_vm[0].finished_at.is_some());
         return;
     }
@@ -364,7 +365,7 @@ fn paratick_trace_env_knob_writes_valid_chrome_trace() {
 #[test]
 fn paratick_timeseries_env_knob_writes_csv() {
     if std::env::var_os("PARATICK_OBS_CHILD").is_some() {
-        let _ = Engine::run(tiny_fio(TickMode::Paratick, 15)).unwrap();
+        let _ = run_cached(tiny_fio(TickMode::Paratick, 15)).unwrap();
         return;
     }
     let path = std::env::temp_dir().join(format!("paratick_obs_ts_{}.csv", std::process::id()));
